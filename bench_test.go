@@ -561,55 +561,32 @@ func BenchmarkE12CompactPass(b *testing.B) {
 }
 
 // BenchmarkE12Allocs — experiment E12 (allocation axis): allocator
-// traffic of the update path at steady state, post-horizon recycling on
-// vs off (DESIGN.md §10). One op is a full insert+delete pair on a fresh
-// key with a Compact pass amortized over every batch, so pool supply
-// tracks demand like a long-running churn. The allocs/op column is the
-// result: the flat node layout costs 6 heap allocations per pair
-// (insert: 3 nodes + 1 info; delete: 1 node + 1 info) and node recycling
-// returns 4 of them, a ≥50% reduction that the pool-hit metric makes
-// attributable. Run with -benchmem.
+// traffic of the update path at steady state (DESIGN.md §10). One op is
+// a full insert+delete pair on a fresh key with a Compact pass amortized
+// over every batch, like a long-running churn. The allocs/op column is
+// the result: the flat node layout costs 6 heap allocations per pair
+// (insert: 3 nodes + 1 info; delete: 1 node + 1 info), plus the retired
+// replacement infos Compact installs. Run with -benchmem.
 func BenchmarkE12Allocs(b *testing.B) {
 	const keys = 1 << 12
 	const batch = 512 // updates per Compact pass
-	for _, pooling := range []bool{true, false} {
-		name := "pool-off"
-		if pooling {
-			name = "pool-on"
+	b.Run("churn-pair", func(b *testing.B) {
+		tr := core.New()
+		rng := workload.NewRNG(37)
+		for i := 0; i < keys/2; i++ {
+			tr.Insert(rng.Intn(keys))
 		}
-		b.Run("churn-pair/"+name, func(b *testing.B) {
-			tr := core.New()
-			tr.SetPooling(pooling)
-			rng := workload.NewRNG(37)
-			for i := 0; i < keys/2; i++ {
-				tr.Insert(rng.Intn(keys))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := keys + int64(i)%keys // fresh key: both halves succeed
+			tr.Insert(k)
+			tr.Delete(k)
+			if i%batch == batch-1 {
+				tr.Compact()
 			}
-			// Warm the pools to steady state before measuring.
-			for i := int64(0); i < 2*batch; i++ {
-				k := keys + i%keys
-				tr.Insert(k)
-				tr.Delete(k)
-				if i%batch == batch-1 {
-					tr.Compact()
-				}
-			}
-			tr.ResetStats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := keys + int64(i)%keys // fresh key: both halves succeed
-				tr.Insert(k)
-				tr.Delete(k)
-				if i%batch == batch-1 {
-					tr.Compact()
-				}
-			}
-			b.StopTimer()
-			st := tr.Stats()
-			b.ReportMetric(float64(st.PoolNodeHits)/float64(b.N), "node-hits/op")
-			b.ReportMetric(float64(st.PoolInfoHits)/float64(b.N), "info-hits/op")
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkE14RebalanceZipf — experiment E14 (single point): clustered

@@ -20,13 +20,13 @@ type BatchOp = core.BatchOp
 // Contains: key is present) into res, which must be at least len(ops)
 // long.
 //
-// Batching amortizes the per-op fixed costs (pin-stripe acquisition and
-// phase-clock read) over the whole vector. Semantics match a loop of the
-// single-op calls, not a transaction: each op is individually
-// linearizable inside the ApplyBatch call, a later op observes an
-// earlier op's effect (read-your-writes within the batch), and the batch
-// as a whole is NOT atomic — concurrent operations and scans can
-// interleave between any two of its ops. See DESIGN.md §11.
+// Batching amortizes the per-op fixed cost (the phase-clock read) over
+// the whole vector. Semantics match a loop of the single-op calls, not a
+// transaction: each op is individually linearizable inside the
+// ApplyBatch call, a later op observes an earlier op's effect
+// (read-your-writes within the batch), and the batch as a whole is NOT
+// atomic — concurrent operations and scans can interleave between any
+// two of its ops. See DESIGN.md §11.
 func (t *Tree) ApplyBatch(ops []BatchOp, res []bool) { t.t.ApplyOps(ops, res) }
 
 // ApplyBatch applies a vector of point operations with (*Tree).ApplyBatch

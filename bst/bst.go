@@ -182,19 +182,8 @@ func (t *Tree) StartAutoCompact(interval time.Duration) (stop func()) {
 	return autoCompact(interval, func() { t.Compact() })
 }
 
-// SetPooling enables or disables post-horizon node/info recycling
-// (DESIGN.md §10). It defaults to on: Compact feeds version memory it
-// proves unreachable back to per-tree pools instead of the GC, cutting
-// steady-state allocs/op on the update path. The off position exists for
-// the E12 ablation and for tests that need deterministic allocation
-// counts; turning it off reverts cut versions to ordinary GC garbage.
-func (t *Tree) SetPooling(on bool) { t.t.SetPooling(on) }
-
-// PoolingEnabled reports whether post-horizon recycling is on.
-func (t *Tree) PoolingEnabled() bool { return t.t.PoolingEnabled() }
-
 // Stats returns the tree's instrumentation counters (retries, helps,
-// handshake aborts, phases opened, compaction progress, pool traffic).
+// handshake aborts, phases opened, compaction progress).
 func (t *Tree) Stats() Stats { return t.t.Stats() }
 
 // ClockNow returns the tree's current phase. The bool mirrors

@@ -108,10 +108,6 @@ func main() {
 			fmt.Printf("stats: helps=%d handshakeAborts=%d scans=%d retries=%d/%d/%d\n",
 				st.Helps, st.HandshakeAborts, st.Scans,
 				st.RetriesInsert, st.RetriesDelete, st.RetriesFind)
-			if st.PoolNodePuts+st.PoolNodeHits > 0 {
-				fmt.Printf("pool: nodeHits=%d nodePuts=%d infoHits=%d infoPuts=%d\n",
-					st.PoolNodeHits, st.PoolNodePuts, st.PoolInfoHits, st.PoolInfoPuts)
-			}
 		}
 		if splits, merges, ok := harness.Migrations(res.Inst); ok && (splits+merges > 0 || target.Rebalance) {
 			count, _ := harness.ShardCount(res.Inst)

@@ -1,12 +1,11 @@
 package core
 
 // Batch execution. The single-op entry points pay a fixed toll per call
-// — a pin-stripe acquisition, a phase-clock read, and (for composite
-// structures) a routing-table resolution upstream — that dominates once
-// the tree itself is fast. TryApplyOps hoists those costs out of the
-// loop: one pin for the whole vector, one cached phase read refreshed
-// only when an attempt fails, the same per-attempt protocol otherwise
-// (DESIGN.md §11).
+// — a phase-clock read and (for composite structures) a routing-table
+// resolution upstream — that dominates once the tree itself is fast.
+// TryApplyOps hoists those costs out of the loop: one cached phase read
+// refreshed only when an attempt fails, the same per-attempt protocol
+// otherwise (DESIGN.md §11).
 //
 // Semantics: each operation in the batch is INDIVIDUALLY linearizable,
 // with its linearization point inside the TryApplyOps call; operations
@@ -31,10 +30,6 @@ package core
 //     the Seal ordering argument (seal.go) holds verbatim: any op that
 //     passes the check commits at a phase <= the migration cut and is
 //     part of the migration snapshot.
-//
-// One pin stripe suffices for the whole batch: the recycler's drain only
-// needs every unregistered traversal to hold SOME stripe for its full
-// duration (pool.go), and the batch is one traversal-holding call.
 
 // BatchKind selects what a BatchOp does.
 type BatchKind uint8
@@ -95,11 +90,6 @@ func (t *Tree) TryApplyOpsPhases(ops []BatchOp, res []bool, phases []uint64) (ap
 	for _, op := range ops {
 		checkKey(op.Key)
 	}
-	if len(ops) == 0 {
-		return 0, true
-	}
-	s := t.pool.pins.enter(ops[0].Key)
-	defer t.pool.pins.exit(s)
 	seq := t.clock.Now()
 	for i, op := range ops {
 		for {

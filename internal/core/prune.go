@@ -4,10 +4,8 @@ package core
 // any reader with phase >= Horizon() can still reach and cuts the prev
 // pointer of the terminal node of every version chain — the first node
 // with seq <= horizon, where every reader's ReadChild stops. Everything
-// behind a cut is unreachable from the tree; with pooling on (the
-// default) it is collected into a limbo batch and recycled through the
-// per-tree pools once the pin drain proves no in-flight traversal can
-// still reach it (pool.go), otherwise it is left to Go's GC. An
+// behind a cut is unreachable from the tree and is left to Go's GC, which
+// frees it once no in-flight traversal still holds a pointer into it. An
 // unreleased Snapshot cannot reference cut versions: live Snapshots hold
 // the horizon at or below their phase.
 //
@@ -17,7 +15,7 @@ package core
 // active reader with phase in [H, x.seq) may still need to step through
 // x to an older version. Cutting is monotone (prev only ever changes to
 // nil) and idempotent. Compact passes are serialized by an internal
-// mutex (limbo bookkeeping needs a single writer), and Compact is safe
+// mutex (the pass stamp needs a single writer), and Compact is safe
 // concurrently with updates and registered readers: updaters never read
 // prev except through ReadChild, which retries the operation at a fresh
 // phase when it meets a cut chain (tree.go).
@@ -26,51 +24,28 @@ import "repro/internal/obs"
 
 // CompactStats reports one Compact pass.
 type CompactStats struct {
-	Horizon       uint64 // reclamation horizon the pass used
-	LiveNodes     int    // nodes still reachable by some phase->=horizon reader
-	PrunedLinks   uint64 // version chains cut by this pass
-	RetiredInfos  uint64 // decided descriptors swapped for reference-free ones
-	GarbageNodes  int    // nodes this pass moved into limbo (0 with pooling off)
-	RecycledNodes int    // limbo nodes whose pin drain completed and entered the pool
-	RecycledInfos int    // limbo infos recycled likewise
+	Horizon      uint64 // reclamation horizon the pass used
+	LiveNodes    int    // nodes still reachable by some phase->=horizon reader
+	PrunedLinks  uint64 // version chains cut by this pass
+	RetiredInfos uint64 // decided descriptors swapped for reference-free ones
 }
 
-// Compact prunes all versions behind the current reclamation horizon,
-// moves the disconnected nodes into limbo, recycles previously-limboed
-// garbage whose pin drain has completed, and returns the pass's
-// statistics. It allocates a visited set proportional to the live
-// version graph and runs concurrently with any mix of operations;
+// Compact prunes all versions behind the current reclamation horizon and
+// returns the pass's statistics. It stamps the live version graph with a
+// fresh pass number and runs concurrently with any mix of operations;
 // updates racing with the walk are simply left for the next pass.
 // Typical use is periodic (see bst.Tree.StartAutoCompact) or after
 // bursts of updates.
 func (t *Tree) Compact() CompactStats {
-	t.pool.compactMu.Lock()
-	defer t.pool.compactMu.Unlock()
+	t.compactMu.Lock()
+	defer t.compactMu.Unlock()
 
 	cs := CompactStats{Horizon: t.Horizon()}
-	// Recycle earlier batches first: their drain had the longest time to
-	// complete, and it refills the pools before this pass's retirements
-	// draw replacement infos.
-	rn, ri := t.reap()
-
 	// A fresh stamp value makes every node "unvisited" without touching
 	// it; pass numbers never repeat (pass 0 is skipped so the zero value
 	// of fresh nodes can never collide).
-	t.pool.pass++
-	pass := t.pool.pass
-	var heads []*node
-	t.pruneWalk(t.root, cs.Horizon, pass, &cs, &heads)
-
-	if t.pool.pooling.Load() && len(heads) > 0 {
-		nodes, infos := t.collectGarbage(heads, pass)
-		cs.GarbageNodes = len(nodes)
-		t.enqueueLimbo(nodes, infos)
-	}
-	// The fresh batch is often immediately drainable (no pins were held
-	// across the cuts — always true for a quiescent tree), so try again.
-	rn2, ri2 := t.reap()
-	cs.RecycledNodes = rn + rn2
-	cs.RecycledInfos = ri + ri2
+	t.pass++
+	t.pruneWalk(t.root, cs.Horizon, t.pass, &cs)
 
 	t.stats.compactions.Add(1)
 	t.stats.prunedLinks.Add(cs.PrunedLinks)
@@ -78,23 +53,23 @@ func (t *Tree) Compact() CompactStats {
 	t.stats.lastHorizon.Store(cs.Horizon)
 	// Flight-record passes that did reclamation work (no-op passes on an
 	// idle tree would only flood the ring). Phase stamp = the horizon the
-	// pass pruned behind; payload = pruned links, recycled objects, live
+	// pass pruned behind; payload = pruned links, retired infos, live
 	// nodes after the pass. Shard is -1: the tree does not know its index
 	// in a sharded set.
-	if cs.PrunedLinks > 0 || cs.GarbageNodes > 0 || cs.RecycledNodes > 0 || cs.RecycledInfos > 0 {
+	if cs.PrunedLinks > 0 || cs.RetiredInfos > 0 {
 		obs.Emit(obs.EventCompact, obs.KindNone, -1, cs.Horizon,
-			int64(cs.PrunedLinks), int64(cs.RecycledNodes+cs.RecycledInfos), int64(cs.LiveNodes))
+			int64(cs.PrunedLinks), int64(cs.RetiredInfos), int64(cs.LiveNodes))
 	}
 	return cs
 }
 
 // pruneWalk visits the version graph reachable by readers with phase in
 // [h, now]: from each internal node it walks both child chains up to and
-// including the first phase-<=h node (cutting that node's prev and
-// remembering the severed head), and descends into every chain member.
-// The graph is a DAG (Delete copies a sibling but shares its subtree),
-// so the pass stamp keeps the walk linear in the graph size.
-func (t *Tree) pruneWalk(n *node, h uint64, pass uint64, cs *CompactStats, heads *[]*node) {
+// including the first phase-<=h node (cutting that node's prev), and
+// descends into every chain member. The graph is a DAG (Delete copies a
+// sibling but shares its subtree), so the pass stamp keeps the walk
+// linear in the graph size.
+func (t *Tree) pruneWalk(n *node, h uint64, pass uint64, cs *CompactStats) {
 	if n == nil || n.visit.Load() == pass {
 		return
 	}
@@ -113,62 +88,19 @@ func (t *Tree) pruneWalk(n *node, h uint64, pass uint64, cs *CompactStats, heads
 		}
 		// Chain members newer than the horizon stay linked and live.
 		for c != nil && c.seqNum() > h {
-			t.pruneWalk(c, h, pass, cs, heads)
+			t.pruneWalk(c, h, pass, cs)
 			c = c.prev.Load()
 		}
 		if c == nil {
 			continue // chain already cut at or above the horizon
 		}
 		// c is the terminal version: every reader stops here or earlier.
-		if behind := c.prev.Load(); behind != nil {
+		if c.prev.Load() != nil {
 			c.prev.Store(nil)
 			cs.PrunedLinks++
-			*heads = append(*heads, behind)
 		}
-		t.pruneWalk(c, h, pass, cs, heads)
+		t.pruneWalk(c, h, pass, cs)
 	}
-}
-
-// collectGarbage walks the version graph hanging off this pass's severed
-// chain heads and returns every node the pass did not stamp as live,
-// together with the uniquely-referenced retired infos attached to them.
-// Garbage is stamped with the same pass number as it is collected, which
-// deduplicates the DFS (the subgraph is a DAG) with the same test that
-// keeps it out of the live region. The garbage subgraph is stable: every
-// collected node was permanently marked before it was replaced (or hangs
-// under one that was), so no in-flight attempt can still change its
-// pointers, and live nodes hold no pointers into it once the cuts are
-// done — the DFS therefore terminates at stamped nodes and at prev=nil
-// boundaries left by earlier passes, never crossing into an older limbo
-// batch.
-//
-// Only retired replacement infos are collected for reuse: each one is
-// referenced by exactly one node (retireUpdate creates them per-CAS).
-// Original attempt infos may be shared by up to maxFreeze nodes and by
-// helpers that outlive the batch, so they are left to the GC.
-func (t *Tree) collectGarbage(heads []*node, pass uint64) ([]*node, []*info) {
-	var nodes []*node
-	var infos []*info
-	var walk func(g *node)
-	walk = func(g *node) {
-		if g == nil || g.visit.Load() == pass {
-			return
-		}
-		g.visit.Store(pass)
-		nodes = append(nodes, g)
-		if d := g.update.Load(); d != nil && d.info.retired && d.info != t.dummy.info {
-			infos = append(infos, d.info)
-		}
-		walk(g.prev.Load())
-		if !g.isLeaf() {
-			walk(g.left.Load())
-			walk(g.right.Load())
-		}
-	}
-	for _, h := range heads {
-		walk(h)
-	}
-	return nodes, infos
 }
 
 // retireUpdate breaks the second retention path: a decided Info still
@@ -182,19 +114,17 @@ func (t *Tree) collectGarbage(heads []*node, pass uint64) ([]*node, []*info) {
 //
 // The replacement must be an info no in-flight CAS can hold as an
 // expected value. A fresh allocation satisfies that trivially (Lemma 7:
-// every installed value was created after the expected value was read);
-// a pooled info satisfies it because the pin drain proved every
-// traversal from its previous life finished before it entered the pool.
-// The retired flag keeps each node's decided descriptor from being
-// re-swept on every pass. Processes still holding the original Info can
-// keep using it — its fields are never cleared; only the node's
-// reference to it is dropped.
+// every installed value was created after the expected value was read,
+// and the GC never reuses an address someone still holds). The retired
+// flag keeps each node's decided descriptor from being re-swept on every
+// pass. Processes still holding the original Info can keep using it — its
+// fields are never cleared; only the node's reference to it is dropped.
 func (t *Tree) retireUpdate(n *node, cs *CompactStats) {
 	d := n.update.Load()
 	if d.info.retired || inProgress(d.info) {
 		return
 	}
-	ri := t.newInfo()
+	ri := newInfo()
 	ri.retired = true
 	nd := &ri.flagD
 	if frozen(d) { // a committed mark is permanent; stay frozen
@@ -203,12 +133,8 @@ func (t *Tree) retireUpdate(n *node, cs *CompactStats) {
 	} else {
 		ri.state.Store(stateAbort)
 	}
-	if n.update.CompareAndSwap(d, nd) {
+	if n.update.CompareAndSwap(d, nd) { // a lost race leaves ri unpublished
 		cs.RetiredInfos++
-	} else {
-		// Lost a race (the node got frozen again); ri was never
-		// published, reuse it immediately.
-		t.recycleUnpublished(ri)
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -303,5 +305,159 @@ func TestScansConcurrentWithPruning(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+	}
+}
+
+// TestAllocBudgets pins the flat layout's allocation counts (DESIGN.md
+// §10.1): nodes and infos are plain allocations, so every budget is an
+// exact count of the objects an operation creates.
+func TestAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by the race detector")
+	}
+	tr := New()
+	for i := int64(0); i < 1024; i += 2 {
+		tr.Insert(i)
+	}
+	// Contains on a quiescent tree is allocation-free.
+	if got := testing.AllocsPerRun(200, func() { tr.Find(511) }); got != 0 {
+		t.Errorf("Contains allocs/op = %v, want 0", got)
+	}
+	// Insert with the flat layout is 3 nodes + 1 info.
+	k := int64(100000)
+	if got := testing.AllocsPerRun(200, func() { tr.Insert(k); k++ }); got > 4 {
+		t.Errorf("Insert allocs/op = %v, want <= 4 (3 nodes + 1 info)", got)
+	}
+	// Delete is 1 sibling copy + 1 info.
+	d := int64(100000)
+	if got := testing.AllocsPerRun(200, func() { tr.Delete(d); d++ }); got > 2 {
+		t.Errorf("Delete allocs/op = %v, want <= 2 (1 node + 1 info)", got)
+	}
+	// A steady-state churn pair (Delete then re-Insert of a present key)
+	// is the two budgets added: 4 nodes + 2 infos.
+	c := int64(0)
+	if got := testing.AllocsPerRun(300, func() { tr.Delete(c % 1024); tr.Insert(c % 1024); c += 2 }); got > 6 {
+		t.Errorf("churn pair allocs/op = %v, want <= 6 (4 nodes + 2 infos)", got)
+	}
+}
+
+// TestModelChurnWithCompact interleaves thousands of updates with Compact
+// passes against a model oracle: a cut that dropped a version some
+// traversal still needed shows up as a wrong answer or a broken invariant.
+func TestModelChurnWithCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tr := New()
+	model := make(map[int64]bool)
+	iters := 20000
+	if testing.Short() {
+		iters = 4000
+	}
+	for i := 0; i < iters; i++ {
+		k := int64(rng.Intn(200))
+		switch rng.Intn(3) {
+		case 0:
+			if got, want := tr.Insert(k), !model[k]; got != want {
+				t.Fatalf("op %d: Insert(%d) = %v, want %v", i, k, got, want)
+			}
+			model[k] = true
+		case 1:
+			if got, want := tr.Delete(k), model[k]; got != want {
+				t.Fatalf("op %d: Delete(%d) = %v, want %v", i, k, got, want)
+			}
+			delete(model, k)
+		default:
+			if got, want := tr.Find(k), model[k]; got != want {
+				t.Fatalf("op %d: Find(%d) = %v, want %v", i, k, got, want)
+			}
+		}
+		if i%256 == 255 {
+			tr.Compact()
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int64, 0, len(model))
+	for k := range model {
+		want = append(want, k)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	got := tr.Keys()
+	if len(got) != len(want) {
+		t.Fatalf("Keys() = %d keys, model has %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("Keys()[%d] = %d, model %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestConcurrentChurnWithCompact races updates, snapshot readers and a
+// spinning compactor — the stress counterpart of the reclaim tests.
+// mustReadChild turns any horizon violation by the pruner into a panic,
+// failing the round loudly.
+func TestConcurrentChurnWithCompact(t *testing.T) {
+	tr := New()
+	iters := 3000
+	if testing.Short() {
+		iters = 500
+	}
+	stop := make(chan struct{})
+	var compWG sync.WaitGroup
+	compWG.Add(1)
+	go func() {
+		defer compWG.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				tr.Compact()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < iters; i++ {
+				k := int64(rng.Intn(128))
+				switch rng.Intn(3) {
+				case 0:
+					tr.Insert(k)
+				case 1:
+					tr.Delete(k)
+				default:
+					tr.Find(k)
+				}
+			}
+		}(w)
+	}
+	// Registered readers throughout: each snapshot's view must stay
+	// sorted and duplicate-free however hard the compactor prunes.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters/30; i++ {
+			s := tr.Snapshot()
+			keys := s.Keys()
+			for j := 1; j < len(keys); j++ {
+				if keys[j-1] >= keys[j] {
+					t.Errorf("snapshot keys out of order: %d before %d", keys[j-1], keys[j])
+					break
+				}
+			}
+			s.Release()
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	compWG.Wait()
+	tr.Compact()
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

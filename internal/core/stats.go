@@ -20,11 +20,6 @@ type Stats struct {
 	prunedLinks   atomic.Uint64
 	lastLiveNodes atomic.Uint64
 	lastHorizon   atomic.Uint64
-
-	poolNodeHits atomic.Uint64
-	poolNodePuts atomic.Uint64
-	poolInfoHits atomic.Uint64
-	poolInfoPuts atomic.Uint64
 }
 
 // StatsSnapshot is a plain-value copy of the counters.
@@ -42,10 +37,12 @@ type StatsSnapshot struct {
 	LastLiveNodes uint64 // live version-graph size seen by the last pass
 	LastHorizon   uint64 // reclamation horizon of the last pass
 
-	PoolNodeHits uint64 // node allocations served from the recycling pool
-	PoolNodePuts uint64 // drained garbage nodes returned to the pool
-	PoolInfoHits uint64 // info allocations served from the recycling pool
-	PoolInfoPuts uint64 // drained/unpublished infos returned to the pool
+	// PoolNodeHits and PoolInfoHits always read 0: the tree allocates
+	// every node and info fresh and leaves cut versions to the GC. The
+	// fields stay only because the serving benchmark (perfbench/layers.go)
+	// still reads them.
+	PoolNodeHits uint64
+	PoolInfoHits uint64
 }
 
 // Stats returns a point-in-time copy of the tree's counters.
@@ -62,10 +59,6 @@ func (t *Tree) Stats() StatsSnapshot {
 		PrunedLinks:     t.stats.prunedLinks.Load(),
 		LastLiveNodes:   t.stats.lastLiveNodes.Load(),
 		LastHorizon:     t.stats.lastHorizon.Load(),
-		PoolNodeHits:    t.stats.poolNodeHits.Load(),
-		PoolNodePuts:    t.stats.poolNodePuts.Load(),
-		PoolInfoHits:    t.stats.poolInfoHits.Load(),
-		PoolInfoPuts:    t.stats.poolInfoPuts.Load(),
 	}
 }
 
@@ -82,8 +75,4 @@ func (t *Tree) ResetStats() {
 	t.stats.prunedLinks.Store(0)
 	t.stats.lastLiveNodes.Store(0)
 	t.stats.lastHorizon.Store(0)
-	t.stats.poolNodeHits.Store(0)
-	t.stats.poolNodePuts.Store(0)
-	t.stats.poolInfoHits.Store(0)
-	t.stats.poolInfoPuts.Store(0)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/epoch"
@@ -37,10 +38,14 @@ type Tree struct {
 	// no update can ever commit here at a phase above the cut (seal.go).
 	sealed atomic.Bool
 
-	// pool holds the recycling machinery: the striped pin table that every
-	// traversal passes through, the limbo queue Compact feeds, and the
-	// node/info free pools it drains into (pool.go).
-	pool poolState
+	// compactMu serializes Compact passes: the pass stamp relies on one
+	// pruner at a time (prune.go).
+	compactMu sync.Mutex
+
+	// pass numbers the Compact passes (guarded by compactMu, starting at
+	// 1): each pass stamps the nodes it reaches with its number, which is
+	// the pruner's visited set (node.visit in types.go).
+	pass uint64
 
 	stats Stats
 }
@@ -65,12 +70,10 @@ func NewWithClock(c *Clock) *Tree {
 		c = NewClock()
 	}
 	t := &Tree{clock: c}
-	dummyInfo := &info{retired: true} // reference-free; the pruner must never re-sweep it
-	dummyInfo.flagD = descriptor{typ: flag, info: dummyInfo}
-	dummyInfo.markD = descriptor{typ: mark, info: dummyInfo}
+	dummyInfo := newInfo()
+	dummyInfo.retired = true // reference-free; the pruner must never re-sweep it
 	dummyInfo.state.Store(stateAbort)
 	t.dummy = &dummyInfo.flagD
-	t.pool.pooling.Store(true)
 
 	root := &node{key: inf2}
 	root.update.Store(t.dummy)
@@ -105,10 +108,8 @@ func checkKey(k int64) {
 // horizon never passes their phase, and for unregistered traversals
 // (Find, Insert, Delete) seq was read from the counter, so a cut chain
 // means the counter has moved on and the operation retries with a fresh
-// phase (see prune.go for the horizon argument). A poisoned (recycled)
-// node deflects stale traversals the same way: its sequence number is the
-// poison sentinel, larger than every real phase, so the chase treats it
-// as too-new and falls through to its prev, which poisoning set to nil.
+// phase (see prune.go for the horizon argument). Cut versions are left to
+// Go's GC, which never reuses an address a traversal can still reach.
 func readChild(p *node, left bool, seq uint64) *node {
 	var l *node
 	if left {
@@ -124,15 +125,11 @@ func readChild(p *node, left bool, seq uint64) *node {
 
 // mustReadChild is readChild for registered readers, whose phase the
 // pruner can never overtake; a cut chain here means the registration was
-// released while the traversal was still running, and a poisoned node
-// means the recycler violated the horizon — both fail loudly.
+// released while the traversal was still running, and fails loudly.
 func mustReadChild(p *node, left bool, seq uint64) *node {
 	l := readChild(p, left, seq)
 	if l == nil {
 		panic("core: version chain pruned below an active traversal's phase (Snapshot used after Release?)")
-	}
-	if l.seqLeaf&^leafBit == poisonSeq {
-		panic("core: registered reader reached a recycled node (pool horizon violation)")
 	}
 	return l
 }
@@ -224,8 +221,6 @@ func (t *Tree) findOnce(k int64, seq uint64) (res bool, st opOutcome) {
 // has frozen the parent or grandparent of the leaf it arrives at.
 func (t *Tree) Find(k int64) bool {
 	checkKey(k)
-	s := t.pool.pins.enter(k)
-	defer t.pool.pins.exit(s)
 	for {
 		if res, st := t.findOnce(k, t.clock.Now()); st == opDone {
 			return res
@@ -281,8 +276,6 @@ func (t *Tree) TryInsert(k int64) (res, ok bool) {
 // was observed at (the linearization phase of the failed insert).
 func (t *Tree) TryInsertPhase(k int64) (res bool, phase uint64, ok bool) {
 	checkKey(k)
-	s := t.pool.pins.enter(k)
-	defer t.pool.pins.exit(s)
 	for {
 		seq := t.clock.Now()
 		if t.sealed.Load() {
@@ -292,6 +285,23 @@ func (t *Tree) TryInsertPhase(k int64) (res bool, phase uint64, ok bool) {
 			return res, seq, true
 		}
 	}
+}
+
+// newLeaf allocates a leaf initialized as the paper's Insert does
+// (lines 161-162): fresh leaves have prev = ⊥.
+func (t *Tree) newLeaf(key int64, seq uint64) *node {
+	return t.newNode(key, seq, nil, true)
+}
+
+// newNode allocates a node whose prev pointer is the replaced node (the
+// paper writes prev at creation; it is never changed afterwards except
+// for the pruner's cut to nil). Internal callers set left/right before
+// publishing.
+func (t *Tree) newNode(key int64, seq uint64, prev *node, leaf bool) *node {
+	n := &node{key: key, seqLeaf: packSeqLeaf(seq, leaf)}
+	n.prev.Store(prev)
+	n.update.Store(t.dummy)
+	return n
 }
 
 // insertOnce is one attempt of Insert at phase seq (paper lines 147-168).
@@ -363,8 +373,6 @@ func (t *Tree) TryDelete(k int64) (res, ok bool) {
 // commit phase of the delete.
 func (t *Tree) TryDeletePhase(k int64) (res bool, phase uint64, ok bool) {
 	checkKey(k)
-	s := t.pool.pins.enter(k)
-	defer t.pool.pins.exit(s)
 	for {
 		seq := t.clock.Now()
 		if t.sealed.Load() {
@@ -449,7 +457,7 @@ func (t *Tree) execute(nodes [maxFreeze]*node, oldUpdate [maxFreeze]*descriptor,
 			return false
 		}
 	}
-	in := t.newInfo()
+	in := newInfo()
 	in.nodes = nodes
 	in.oldUpdate = oldUpdate
 	in.nn = nn
@@ -462,10 +470,16 @@ func (t *Tree) execute(nodes [maxFreeze]*node, oldUpdate [maxFreeze]*descriptor,
 	if nodes[0].update.CompareAndSwap(oldUpdate[0], &in.flagD) { // freeze (flag) CAS
 		return t.help(in)
 	}
-	// The attempt was never published: no other goroutine can have seen
-	// in, so its memory can be reused immediately.
-	t.recycleUnpublished(in)
 	return false
+}
+
+// newInfo allocates an info in state ⊥ with its embedded flag/mark
+// descriptors wired to itself.
+func newInfo() *info {
+	in := new(info)
+	in.flagD = descriptor{typ: flag, info: in}
+	in.markD = descriptor{typ: mark, info: in}
+	return in
 }
 
 // help implements Help (lines 107-128). It first performs the handshaking

@@ -38,12 +38,12 @@ const (
 // info embeds exactly one flag descriptor and one mark descriptor
 // (flagD/markD below), both pointing back at it, so installing a freeze
 // costs no allocation: the CAS installs &in.flagD or &in.markD. The
-// descriptor values are immutable, and a given descriptor address is
-// re-installed only after the pool proves no in-flight CAS can hold it
-// as an expected value (see pool.go), so CAS on the *descriptor pointer
-// remains equivalent to CAS on the packed word: the paper's no-ABA
-// argument (Lemma 7) — every successful CAS installs a pointer to an
-// Info created after the expected value was read — holds unchanged.
+// descriptor values are immutable, and Go's GC never reuses the address
+// of a descriptor that any goroutine can still hold as an expected
+// value, so CAS on the *descriptor pointer remains equivalent to CAS on
+// the packed word: the paper's no-ABA argument (Lemma 7) — every
+// successful CAS installs a pointer to an Info created after the
+// expected value was read — holds unchanged.
 type descriptor struct {
 	typ  descType
 	info *info
@@ -78,8 +78,8 @@ type info struct {
 	seq       uint64                 // phase of the attempt
 
 	// Pre-typed freeze descriptors pointing back at this info. They are
-	// initialized once (newInfo) and never change, even across pool
-	// reuse: flagD = {flag, this}, markD = {mark, this}.
+	// initialized once (newInfo) and never change: flagD = {flag, this},
+	// markD = {mark, this}.
 	flagD, markD descriptor
 }
 
@@ -89,13 +89,12 @@ const leafBit = uint64(1) << 63
 
 // node represents both Internal and Leaf nodes (paper Figure 2, lines
 // 15-27). A leaf never has its left/right pointers set; the leaf bit of
-// seqLeaf discriminates. key and seqLeaf are immutable after creation
-// (except for poisoning of recycled nodes, see pool.go). prev is written
-// once at creation (the node this one replaced in its parent; nil for
-// phase-0 nodes and fresh leaves) and may later be reset to nil —
-// exactly once, monotonically — by the version pruner when every version
-// behind it has fallen below the reclamation horizon (see prune.go).
-// Readers therefore load it atomically.
+// seqLeaf discriminates. key and seqLeaf are immutable after creation.
+// prev is written once at creation (the node this one replaced in its
+// parent; nil for phase-0 nodes and fresh leaves) and may later be reset
+// to nil — exactly once, monotonically — by the version pruner when every
+// version behind it has fallen below the reclamation horizon (see
+// prune.go). Readers therefore load it atomically.
 type node struct {
 	key     int64
 	seqLeaf uint64 // bit 63 = leaf flag, low 63 bits = creation phase
@@ -104,8 +103,7 @@ type node struct {
 	// reaches with the pass number instead of keeping a per-pass visited
 	// map (map traffic dominated the pass's cost). Written only under the
 	// compaction mutex, but atomically, because updaters and readers
-	// traverse the node concurrently. Stale stamps on recycled nodes are
-	// harmless: pass numbers never repeat.
+	// traverse the node concurrently.
 	visit atomic.Uint64
 
 	prev        atomic.Pointer[node]

@@ -39,7 +39,7 @@ func TestHandshakeAbortPath(t *testing.T) {
 	gp, p, l := tr.search(5, tr.phase())
 	_ = gp
 	pup := p.update.Load()
-	in := tr.newInfo()
+	in := newInfo()
 	in.nodes = [maxFreeze]*node{p, l}
 	in.oldUpdate = [maxFreeze]*descriptor{pup, l.update.Load()}
 	in.nn = 2
@@ -93,7 +93,7 @@ func TestHelpIsIdempotent(t *testing.T) {
 		ni.left.Store(sib)
 		ni.right.Store(nl)
 	}
-	in := tr.newInfo()
+	in := newInfo()
 	in.nodes = [maxFreeze]*node{p, l}
 	in.oldUpdate = [maxFreeze]*descriptor{pupdate, l.update.Load()}
 	in.nn = 2

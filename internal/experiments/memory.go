@@ -20,12 +20,11 @@ import (
 // count; with pruning on (Compact after each window) they stay flat at
 // O(live set), matching the versionless nbbst/lockbst baselines up to a
 // constant. A second table reports allocations per update and a third
-// the GC pause per window — the axis the post-horizon recycling pools
-// (DESIGN.md §10) target: pnbbst+compact (pooling on, the default)
-// versus the pnbbst-nopool ablation isolates what recycling saves. A
-// final table reports the version-graph size for the PNB configurations
-// — O(set size) pruned vs Θ(total updates) unpruned — the direct
-// measure of what Compact reclaims.
+// the GC pause per window: every version is a plain allocation that the
+// GC reclaims once Compact cuts it (DESIGN.md §10). A final table reports
+// the version-graph size for the PNB configurations — O(set size) pruned
+// vs Θ(total updates) unpruned — the direct measure of what Compact
+// reclaims.
 func E12Memory(o Options) {
 	keys := o.scale(1 << 15)
 	windows := 6
@@ -43,7 +42,6 @@ func E12Memory(o Options) {
 		compact bool
 	}{
 		{"pnbbst+compact", harness.TargetPNBBST, true},
-		{"pnbbst+compact-nopool", harness.TargetPNBBSTNoPool, true},
 		{"pnbbst", harness.TargetPNBBST, false},
 		{harness.TargetNBBST, harness.TargetNBBST, false},
 		{harness.TargetLockBST, harness.TargetLockBST, false},
@@ -106,7 +104,7 @@ func E12Memory(o Options) {
 	o.emit(heap)
 
 	allocs := harness.NewTable(
-		"E12: heap allocations per update by window — post-horizon recycling (pooling, on by default) vs the nopool ablation",
+		"E12: heap allocations per update by window",
 		append([]string{"window"}, names...)...)
 	for w := 0; w < windows; w++ {
 		row := []any{w + 1}
@@ -118,7 +116,7 @@ func E12Memory(o Options) {
 	o.emit(allocs)
 
 	pause := harness.NewTable(
-		"E12: GC stop-the-world pause per window (µs, with cycle count) — less allocator traffic means fewer, cheaper collections",
+		"E12: GC stop-the-world pause per window (µs, with cycle count)",
 		append([]string{"window"}, names...)...)
 	for w := 0; w < windows; w++ {
 		row := []any{w + 1}
@@ -131,9 +129,9 @@ func E12Memory(o Options) {
 
 	versions := harness.NewTable(
 		"E12: PNB-BST version-graph size by window — pruned stays O(live set), unpruned grows with updates",
-		"window", configs[0].name, configs[1].name, configs[2].name)
+		"window", configs[0].name, configs[1].name)
 	for w := 0; w < windows; w++ {
-		versions.AddRow(w+1, samples[0][w].liveNodes, samples[1][w].liveNodes, samples[2][w].liveNodes)
+		versions.AddRow(w+1, samples[0][w].liveNodes, samples[1][w].liveNodes)
 	}
 	o.emit(versions)
 }

@@ -116,7 +116,7 @@ func E15Serving(o Options) {
 	// fixed conns × pipeline; only the client-side batch size varies.
 	// Batch=1 sends one frame per op (the pre-MBATCH wire); larger
 	// batches amortize framing, opcode dispatch, and — server-side — the
-	// phase read and pin-stripe acquisition across the whole vector.
+	// routing-table load and phase read across the whole vector.
 	// Accounting is per-op (a batch of k counts as k), so the column is
 	// directly comparable across rows.
 	{

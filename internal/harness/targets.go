@@ -20,7 +20,6 @@ import (
 const (
 	TargetPNBBST        = "pnbbst"          // the paper's tree (wait-free linearizable scans)
 	TargetPNBBSTNoHS    = "pnbbst-nohs"     // ablation: handshake disabled (E9 only)
-	TargetPNBBSTNoPool  = "pnbbst-nopool"   // ablation: post-horizon recycling off (E12; DESIGN.md §10)
 	TargetNBBST         = "nbbst"           // Ellen et al. baseline (unsafe scans)
 	TargetLockBST       = "lockbst"         // RWMutex tree (blocking scans)
 	TargetSkipList      = "skiplist"        // lock-free skip list (unsafe scans)
@@ -116,13 +115,8 @@ func Targets() []string {
 // ("sharded", "sharded<N>") is resolved by ParseShardedTarget in FactoryRange,
 // not listed here, so it has a single construction path.
 var factories = map[string]func(lo, hi int64) Instance{
-	TargetPNBBST:     func(_, _ int64) Instance { return pnbInstance{core.New()} },
-	TargetPNBBSTNoHS: func(_, _ int64) Instance { return pnbInstance{core.NewUnsafeNoHandshake()} },
-	TargetPNBBSTNoPool: func(_, _ int64) Instance {
-		t := core.New()
-		t.SetPooling(false)
-		return pnbInstance{t}
-	},
+	TargetPNBBST:        func(_, _ int64) Instance { return pnbInstance{core.New()} },
+	TargetPNBBSTNoHS:    func(_, _ int64) Instance { return pnbInstance{core.NewUnsafeNoHandshake()} },
 	TargetNBBST:         func(_, _ int64) Instance { return nbInstance{nbbst.New()} },
 	TargetLockBST:       func(_, _ int64) Instance { return lockInstance{lockbst.New()} },
 	TargetSkipList:      func(_, _ int64) Instance { return slInstance{skiplist.New()} },

@@ -110,23 +110,18 @@ func TestBadTimestamps(t *testing.T) {
 	}
 }
 
-// TestRealHistoryFromCoreTree records a genuine concurrent history from
-// the PNB-BST and verifies it linearizable — an end-to-end check of both
-// the tree and the checker. Keys are drawn from a window that slides per
-// round so per-key histories stay under the checker's op limit.
-// TestRealHistoryPoolingUnderCompact is the recycling round of the
-// linearizability wall: pooling forced on and a compactor spinning so
-// that nodes and infos are cut, drained and reused underneath the
-// recorded operations. Any ABA admitted by a recycled descriptor or node
-// would surface as a non-linearizable history.
-func TestRealHistoryPoolingUnderCompact(t *testing.T) {
+// TestRealHistoryUnderCompact is the reclamation round of the
+// linearizability wall: a compactor spins so that version chains are cut
+// and decided descriptors retired underneath the recorded operations. A
+// cut that removed a version some operation still needed would surface
+// as a non-linearizable history.
+func TestRealHistoryUnderCompact(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 8 {
 		workers = 8
 	}
 	for round := 0; round < 8; round++ {
 		tr := core.New()
-		tr.SetPooling(true)
 		stop := make(chan struct{})
 		var compWG sync.WaitGroup
 		compWG.Add(1)
@@ -184,9 +179,13 @@ func TestRealHistoryPoolingUnderCompact(t *testing.T) {
 	}
 }
 
-// striding decorrelates the pooling rounds' seeds from the plain rounds'.
+// striding decorrelates the compactor rounds' seeds from the plain rounds'.
 const striding = 7919
 
+// TestRealHistoryFromCoreTree records a genuine concurrent history from
+// the PNB-BST and verifies it linearizable — an end-to-end check of both
+// the tree and the checker. Keys are drawn from a window that slides per
+// round so per-key histories stay under the checker's op limit.
 func TestRealHistoryFromCoreTree(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 8 {

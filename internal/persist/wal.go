@@ -32,6 +32,12 @@ var walMagic = []byte("PNBWAL1\n")
 // With syncEvery > 0 appends return after buffering and a background
 // ticker fsyncs every interval: a crash loses at most that window of
 // acknowledged updates (the relaxed mode E17 measures against).
+//
+// Failures are sticky (fail-stop): the first flush or fsync error is
+// stored, and from then on every append, sync and rotation returns it and
+// the durable watermark never moves again. Linux reports a writeback
+// error to one fsync caller and then clears it, so a later fsync that
+// succeeds proves nothing about the pages the failed one covered.
 type wal struct {
 	dir       string
 	syncEvery time.Duration
@@ -45,10 +51,11 @@ type wal struct {
 	scratch  []byte
 	closed   bool
 
-	syncMu      sync.Mutex    // held by the fsync leader, rotation, and close
-	synced      atomic.Uint64 // append groups known durable
-	syncedPhase atomic.Uint64 // highest commit phase known durable (the phase watermark)
-	lastEmitNS  int64         // wall time of the last walsync flight-record emit (under syncMu)
+	syncMu      sync.Mutex            // held by the fsync leader, rotation, and close
+	failed      atomic.Pointer[error] // first flush/fsync error, stored once under syncMu
+	synced      atomic.Uint64         // append groups known durable
+	syncedPhase atomic.Uint64         // highest commit phase known durable (the phase watermark)
+	lastEmitNS  int64                 // wall time of the last walsync flight-record emit (under syncMu)
 
 	appends atomic.Uint64
 	syncs   atomic.Uint64
@@ -118,7 +125,7 @@ func openWAL(dir string, seg uint64, syncEvery time.Duration) (*wal, error) {
 				case <-l.done:
 					return
 				case <-tick.C:
-					l.syncNow()
+					l.syncNow() // a failure is stored; the next append returns it
 				}
 			}
 		}()
@@ -134,6 +141,9 @@ var errWALClosed = errors.New("persist: append to a closed WAL")
 // commit phase of any record in the group; the fsync that covers the
 // group advances the durable phase watermark at least that far.
 func (l *wal) append(group []byte, maxPhase uint64) error {
+	if err := l.failure(); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -171,6 +181,25 @@ func (l *wal) waitDurable(n uint64) error {
 	return l.syncLocked()
 }
 
+// failure returns the stored sticky error, or nil while the WAL is
+// healthy.
+func (l *wal) failure() error {
+	if p := l.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// fail records err as the WAL's sticky failure unless an earlier one is
+// already stored, and returns the stored error. Caller holds syncMu.
+func (l *wal) fail(err error) error {
+	if prev := l.failure(); prev != nil {
+		return prev
+	}
+	l.failed.Store(&err)
+	return err
+}
+
 func (l *wal) syncNow() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -182,6 +211,9 @@ func (l *wal) syncNow() error {
 // appends flowing — they buffer behind the watermark this sync will
 // publish. f cannot be swapped mid-sync: rotation also holds syncMu.
 func (l *wal) syncLocked() error {
+	if err := l.failure(); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	target := l.written
 	phase := l.maxPhase
@@ -190,10 +222,10 @@ func (l *wal) syncLocked() error {
 	f := l.f
 	l.mu.Unlock()
 	if err != nil {
-		return err
+		return l.fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		return err
+		return l.fail(err)
 	}
 	l.syncs.Add(1)
 	if l.synced.Load() < target {
@@ -238,6 +270,9 @@ const walSyncEmitEvery = 25 * time.Millisecond
 func (l *wal) rotate() (uint64, error) {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
+	if err := l.failure(); err != nil {
+		return 0, err
+	}
 	newSeg := l.seg + 1 // stable: seg only changes under syncMu
 	f, w, err := createSegment(l.dir, newSeg)
 	if err != nil {
@@ -257,13 +292,13 @@ func (l *wal) rotate() (uint64, error) {
 	l.mu.Unlock()
 	if flushErr != nil {
 		oldF.Close()
-		return 0, flushErr
+		return 0, l.fail(flushErr)
 	}
 	// Appends already race into the new segment; the old one only needs
 	// its durability settled before the watermark moves.
 	if err := oldF.Sync(); err != nil {
 		oldF.Close()
-		return 0, err
+		return 0, l.fail(err)
 	}
 	if err := oldF.Close(); err != nil {
 		return 0, err

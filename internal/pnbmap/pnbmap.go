@@ -28,12 +28,8 @@
 //
 // Allocation scope: the map shares core's flat object layout (packed
 // seq/leaf word, embedded pre-typed freeze descriptors, inline freeze
-// arrays) but NOT its post-horizon node/info recycling. Pooling requires
-// pinning every traversal and poisoning recycled nodes; leaves here carry
-// a value payload of arbitrary type V, so a pooled leaf would also retain
-// (or must eagerly clear) user values, and the serving hot path this repo
-// optimizes for runs on the set (internal/shard → bst), not the map. The
-// map's cut versions therefore go to Go's GC, as before PR 7.
+// arrays) and its reclamation: neither structure recycles nodes or infos,
+// so versions Compact cuts go to Go's GC, values included.
 package pnbmap
 
 import (

@@ -14,12 +14,6 @@ type CompactStats struct {
 	LiveNodes    int    // nodes still reachable by some phase->=horizon reader
 	PrunedLinks  uint64 // version chains cut by this pass
 	RetiredInfos uint64 // decided descriptors swapped for reference-free ones
-
-	// The map does no node/info recycling (see the package comment on
-	// pooling scope), so these mirror core.CompactStats at zero.
-	GarbageNodes  int // always 0: cut versions go to the GC
-	RecycledNodes int // always 0
-	RecycledInfos int // always 0
 }
 
 // Horizon returns the minimum phase any active or future reader may

@@ -54,9 +54,8 @@ type EventMetric struct {
 }
 
 // GCMetrics reports the serving process's runtime memory state, so an
-// operator can see what the store's allocation behavior (and the
-// post-horizon recycling that tempers it, DESIGN.md §10) costs in
-// collector activity without attaching a profiler.
+// operator can see what the store's allocation behavior (DESIGN.md §10)
+// costs in collector activity without attaching a profiler.
 type GCMetrics struct {
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes"` // live heap (approximate, no forced GC)
 	HeapObjects    uint64 `json:"heap_objects"`

@@ -193,14 +193,6 @@ func (s *Server) promShards(b *bytes.Buffer, shards []bst.ShardInfo) {
 		u(func(sh bst.ShardInfo) uint64 { return sh.Compactions }))
 	family("bstserver_shard_pruned_links_total", "counter", "Version-chain links cut in the shard's tree.",
 		u(func(sh bst.ShardInfo) uint64 { return sh.PrunedLinks }))
-	family("bstserver_shard_pool_node_hits_total", "counter", "Node allocations served from the recycling pool.",
-		u(func(sh bst.ShardInfo) uint64 { return sh.PoolNodeHits }))
-	family("bstserver_shard_pool_node_puts_total", "counter", "Garbage nodes returned to the recycling pool.",
-		u(func(sh bst.ShardInfo) uint64 { return sh.PoolNodePuts }))
-	family("bstserver_shard_pool_info_hits_total", "counter", "Info allocations served from the recycling pool.",
-		u(func(sh bst.ShardInfo) uint64 { return sh.PoolInfoHits }))
-	family("bstserver_shard_pool_info_puts_total", "counter", "Infos returned to the recycling pool.",
-		u(func(sh bst.ShardInfo) uint64 { return sh.PoolInfoPuts }))
 }
 
 // promFloat renders a float the way the exposition format expects:

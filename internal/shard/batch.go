@@ -14,8 +14,8 @@ import (
 // table is loaded ONCE for the whole vector, ops are grouped by
 // destination shard (stably, so two ops on the same key — necessarily
 // the same shard — keep their slice order), and each shard group runs
-// through core.TryApplyOps, which holds one pin stripe and one cached
-// phase read for the group instead of one per op (DESIGN.md §11).
+// through core.TryApplyOps, which holds one cached phase read for the
+// group instead of one per op (DESIGN.md §11).
 //
 // Semantics match the single-op path, not a transaction: every op is
 // INDIVIDUALLY linearizable, with its linearization point inside the

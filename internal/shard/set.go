@@ -294,10 +294,6 @@ type ShardInfo struct {
 	Aborts       uint64 // handshake aborts
 	Compactions  uint64
 	PrunedLinks  uint64
-	PoolNodeHits uint64
-	PoolNodePuts uint64
-	PoolInfoHits uint64
-	PoolInfoPuts uint64
 }
 
 // ShardInfos returns one ShardInfo per current shard, all read from a
@@ -325,10 +321,6 @@ func (s *Set) ShardInfos() []ShardInfo {
 			Aborts:       st.HandshakeAborts,
 			Compactions:  st.Compactions,
 			PrunedLinks:  st.PrunedLinks,
-			PoolNodeHits: st.PoolNodeHits,
-			PoolNodePuts: st.PoolNodePuts,
-			PoolInfoHits: st.PoolInfoHits,
-			PoolInfoPuts: st.PoolInfoPuts,
 		}
 	}
 	return out
@@ -684,9 +676,6 @@ func (s *Set) Compact() core.CompactStats {
 		sum.LiveNodes += cs.LiveNodes
 		sum.PrunedLinks += cs.PrunedLinks
 		sum.RetiredInfos += cs.RetiredInfos
-		sum.GarbageNodes += cs.GarbageNodes
-		sum.RecycledNodes += cs.RecycledNodes
-		sum.RecycledInfos += cs.RecycledInfos
 	}
 	return sum
 }
@@ -731,10 +720,6 @@ func (s *Set) Stats() core.StatsSnapshot {
 		sum.HandshakeAborts += st.HandshakeAborts
 		sum.Compactions += st.Compactions
 		sum.PrunedLinks += st.PrunedLinks
-		sum.PoolNodeHits += st.PoolNodeHits
-		sum.PoolNodePuts += st.PoolNodePuts
-		sum.PoolInfoHits += st.PoolInfoHits
-		sum.PoolInfoPuts += st.PoolInfoPuts
 		sum.LastLiveNodes += st.LastLiveNodes
 		if i == 0 || st.LastHorizon < sum.LastHorizon {
 			sum.LastHorizon = st.LastHorizon
@@ -759,10 +744,6 @@ func (s *Set) foldRetired(trees []*core.Tree) {
 		s.retired.HandshakeAborts += st.HandshakeAborts
 		s.retired.Compactions += st.Compactions
 		s.retired.PrunedLinks += st.PrunedLinks
-		s.retired.PoolNodeHits += st.PoolNodeHits
-		s.retired.PoolNodePuts += st.PoolNodePuts
-		s.retired.PoolInfoHits += st.PoolInfoHits
-		s.retired.PoolInfoPuts += st.PoolInfoPuts
 	}
 }
 
