@@ -108,34 +108,51 @@ func (t *Tree) pruneWalk(n *node, h uint64, pass uint64, cs *CompactStats) {
 // so a live node's update field would keep every predecessor reachable
 // even after its prev chain is cut. Once an attempt is decided its Info
 // is only ever consulted for (typ, state) — helping reads the rest only
-// while the state is Try — so the descriptor can be swapped for a
+// while the state is Try — so the node's descriptor can be swapped for a
 // reference-free equivalent: unfrozen (flag+Abort) for decided-unfrozen
 // descriptors, permanently frozen (mark+Commit) for committed marks.
 //
-// The replacement must be an info no in-flight CAS can hold as an
-// expected value. A fresh allocation satisfies that trivially (Lemma 7:
-// every installed value was created after the expected value was read,
-// and the GC never reuses an address someone still holds). The retired
-// flag keeps each node's decided descriptor from being re-swept on every
-// pass. Processes still holding the original Info can keep using it — its
-// fields are never cleared; only the node's reference to it is dropped.
+// The replacement is a fresh 16-B descriptor pointing at one of two
+// shared, decided infos (retiredAbort, retiredCommit). Every live node
+// ends up holding one, so a fresh 128-B info per retire made the heap
+// per key grow with the number of updates a tree had seen. Sharing the
+// info is safe because freeze CASes compare *descriptor pointers: the
+// replacement need only be a descriptor no in-flight CAS can hold as an
+// expected value, which a fresh allocation is (Lemma 7: every installed
+// value was created after the expected value was read, and the GC never
+// reuses an address someone still holds). The shared infos are marked
+// retired, so each node's descriptor is swept at most once. Processes
+// still holding the original Info can keep using it — its fields are
+// never cleared; only the node's reference to it is dropped.
 func (t *Tree) retireUpdate(n *node, cs *CompactStats) {
 	d := n.update.Load()
 	if d.info.retired || inProgress(d.info) {
 		return
 	}
-	ri := newInfo()
-	ri.retired = true
-	nd := &ri.flagD
+	nd := &descriptor{typ: flag, info: retiredAbort}
 	if frozen(d) { // a committed mark is permanent; stay frozen
-		ri.state.Store(stateCommit)
-		nd = &ri.markD
-	} else {
-		ri.state.Store(stateAbort)
+		nd = &descriptor{typ: mark, info: retiredCommit}
 	}
-	if n.update.CompareAndSwap(d, nd) { // a lost race leaves ri unpublished
+	if n.update.CompareAndSwap(d, nd) { // a lost race leaves nd unpublished
 		cs.RetiredInfos++
 	}
+}
+
+// retiredAbort and retiredCommit are the decided, reference-free infos
+// every retired descriptor points at (retireUpdate). They are never
+// frozen onto a node themselves, so their embedded descriptors stay
+// unused.
+var (
+	retiredAbort  = decidedInfo(stateAbort)
+	retiredCommit = decidedInfo(stateCommit)
+)
+
+// decidedInfo returns a retired info whose attempt is decided in state s.
+func decidedInfo(s int32) *info {
+	in := new(info)
+	in.retired = true
+	in.state.Store(s)
+	return in
 }
 
 // VersionGraphSize returns the number of nodes reachable in the whole

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -339,6 +340,52 @@ func TestAllocBudgets(t *testing.T) {
 	if got := testing.AllocsPerRun(300, func() { tr.Delete(c % 1024); tr.Insert(c % 1024); c += 2 }); got > 6 {
 		t.Errorf("churn pair allocs/op = %v, want <= 6 (4 nodes + 2 infos)", got)
 	}
+}
+
+// TestRetiredHeapFlatUnderChurn pins the decoupling of live heap from
+// update history: retired descriptors share one decided info, so once a
+// churned tree is compacted its heap per key is the same whether it saw
+// 1× or 17× its size in updates. With a fresh info per retired node the
+// heap kept growing until every node had been retired once.
+func TestRetiredHeapFlatUnderChurn(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are perturbed by the race detector")
+	}
+	const keys = 1 << 15
+	even := make([]int64, keys)
+	for i := range even {
+		even[i] = int64(2 * i)
+	}
+	tr, err := BuildFromSortedKeys(nil, even)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := workload.NewRNG(5)
+	churn := func(updates int) {
+		for i := 0; i < updates; i++ {
+			if k := rng.Intn(2 * keys); rng.Intn(2) == 0 {
+				tr.Insert(k)
+			} else {
+				tr.Delete(k)
+			}
+		}
+	}
+	heapPerKey := func() float64 {
+		tr.Compact()
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / float64(tr.Len())
+	}
+	churn(keys)
+	once := heapPerKey()
+	churn(16 * keys)
+	after := heapPerKey()
+	if after > once*1.05 {
+		t.Fatalf("heap per key grew with churn: %.1f B after 1x, %.1f B after 17x (> +5%%)", once, after)
+	}
+	t.Logf("heap per key: %.1f B after 1x churn, %.1f B after 17x", once, after)
 }
 
 // TestModelChurnWithCompact interleaves thousands of updates with Compact

@@ -43,7 +43,11 @@ const (
 // value, so CAS on the *descriptor pointer remains equivalent to CAS on
 // the packed word: the paper's no-ABA argument (Lemma 7) — every
 // successful CAS installs a pointer to an Info created after the
-// expected value was read — holds unchanged.
+// expected value was read — holds unchanged. The pruner's retire CAS is
+// the one install not embedded in a fresh Info: it installs a freshly
+// allocated standalone descriptor whose info is shared and already
+// decided (prune.go), which is still a value created after the expected
+// one was read, so the argument carries over to it.
 type descriptor struct {
 	typ  descType
 	info *info
@@ -61,15 +65,16 @@ const maxFreeze = 4
 // An info's node references (nodes, oldUpdate, par, oldChild) are only
 // needed while the attempt is undecided; afterwards they retain the
 // replaced nodes, which is why the pruner swaps decided descriptors for
-// reference-free ones (retireUpdate in prune.go). retired marks such
-// replacements (and the dummy) so they are never swept again.
+// fresh 16-B descriptors pointing at one of two shared, reference-free
+// infos (retireUpdate in prune.go). retired marks those shared infos
+// (and the dummy) so a node holding one is never swept again.
 type info struct {
 	state atomic.Int32 // ⊥ / Try / Commit / Abort
 
 	nn        uint8                  // number of nodes to freeze
 	markMask  uint8                  // bit i set ⇒ nodes[i] is marked (mark ⊆ nodes)
 	ins       bool                   // created by Insert (for introspection/stats only)
-	retired   bool                   // reference-free replacement installed by the pruner
+	retired   bool                   // shared reference-free info of the pruner's replacements
 	nodes     [maxFreeze]*node       // nodes to freeze, in freeze order; nodes[0] is flagged first
 	oldUpdate [maxFreeze]*descriptor // expected update values for the freeze CASes
 	par       *node                  // node whose child pointer changes (an element of nodes)

@@ -208,22 +208,23 @@ func TestConcurrentDisjointMap(t *testing.T) {
 // TestConcurrentReplaceMonotone: writers only ever replace a key's value
 // with a larger one, so every read anywhere (live or snapshot-ordered)
 // must see values that never decrease per key over wall-clock time.
+// Each key has one writer: with a shared counter, a writer preempted
+// between drawing its value and its Put could legitimately store an
+// older value over a newer one.
 func TestConcurrentReplaceMonotone(t *testing.T) {
 	m := New[int64]()
-	const keys = 16
+	const keys, writers = 16, 4
 	for k := int64(0); k < keys; k++ {
 		m.Put(k, 0)
 	}
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	var counter atomic.Int64
-	for w := 0; w < 4; w++ {
+	for w := int64(0); w < writers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				v := counter.Add(1)
-				m.Put(v%keys, v)
+			for v := int64(1); !stop.Load(); v++ {
+				m.Put(w+writers*(v%(keys/writers)), v) // keys ≡ w mod writers
 			}
 		}()
 	}

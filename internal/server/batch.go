@@ -48,38 +48,64 @@ func (s *Server) serveMBatch(c *conn, enc *wire.Encoder, req wire.Request) {
 			return
 		}
 	}
-	n := len(req.Ops)
-	if cap(c.bops) < n {
-		c.bops = make([]bst.BatchOp, n)
+	ops := c.bops[:0]
+	for _, op := range req.Ops {
+		ops = append(ops, bst.BatchOp{Kind: batchKind(op.Op), Key: op.Key})
+	}
+	c.bops = ops
+	res := c.results(len(ops))
+	s.applyBatch(ops, res)
+	enc.BoolVec(res) //nolint:errcheck // sticky; surfaces at flush
+}
+
+// applyBatch dispatches a vector of point ops through BatchStore when
+// the store has it, or a single-op loop otherwise.
+func (s *Server) applyBatch(ops []bst.BatchOp, res []bool) {
+	if bs, ok := s.cfg.Store.(BatchStore); ok {
+		bs.ApplyBatch(ops, res)
+		return
+	}
+	st := s.cfg.Store
+	for i, op := range ops {
+		switch op.Kind {
+		case bst.BatchInsert:
+			res[i] = st.Insert(op.Key)
+		case bst.BatchDelete:
+			res[i] = st.Delete(op.Key)
+		default:
+			res[i] = st.Contains(op.Key)
+		}
+	}
+}
+
+// results returns the connection's result scratch resized to n.
+func (c *conn) results(n int) []bool {
+	if cap(c.bres) < n {
 		c.bres = make([]bool, n)
 	}
-	bops, bres := c.bops[:n], c.bres[:n]
-	for i, op := range req.Ops {
-		kind := bst.BatchContains
-		switch op.Op {
-		case wire.OpInsert:
-			kind = bst.BatchInsert
-		case wire.OpDelete:
-			kind = bst.BatchDelete
-		}
-		bops[i] = bst.BatchOp{Kind: kind, Key: op.Key}
+	return c.bres[:n]
+}
+
+// batchKind maps a point opcode (INSERT, DELETE, CONTAINS) to its batch
+// kind, and wireOp maps it back.
+func batchKind(op wire.Op) bst.BatchKind {
+	switch op {
+	case wire.OpInsert:
+		return bst.BatchInsert
+	case wire.OpDelete:
+		return bst.BatchDelete
 	}
-	if bs, ok := s.cfg.Store.(BatchStore); ok {
-		bs.ApplyBatch(bops, bres)
-	} else {
-		st := s.cfg.Store
-		for i, op := range bops {
-			switch op.Kind {
-			case bst.BatchInsert:
-				bres[i] = st.Insert(op.Key)
-			case bst.BatchDelete:
-				bres[i] = st.Delete(op.Key)
-			default:
-				bres[i] = st.Contains(op.Key)
-			}
-		}
+	return bst.BatchContains
+}
+
+func wireOp(k bst.BatchKind) wire.Op {
+	switch k {
+	case bst.BatchInsert:
+		return wire.OpInsert
+	case bst.BatchDelete:
+		return wire.OpDelete
 	}
-	enc.BoolVec(bres) //nolint:errcheck // sticky; surfaces at flush
+	return wire.OpContains
 }
 
 // serveMLoad serves one logical MLOAD run starting at req: it keeps

@@ -7,7 +7,10 @@
 // buffer while decoded-but-unserved requests remain in the read buffer,
 // and are flushed only when the connection's request pipeline drains
 // (or the buffer fills) — so a client pipelining N requests costs ~2
-// syscalls per batch, not per request.
+// syscalls per batch, not per request. Point requests already pipelined
+// in the read buffer are applied together as one store batch
+// (serveConn), so behind a durable store a pipeline run shares one WAL
+// frame and one fsync.
 //
 // SCAN is served by streaming straight out of the store's
 // RangeScanFunc visitor: the whole scan — however many shards and
@@ -85,9 +88,10 @@ type Config struct {
 	SockBuf int
 	// SlowOp, if positive, flight-records every request whose
 	// decode+apply+flush time meets or exceeds it (obs.EventSlowOp, with
-	// the per-stage breakdown in the payload), provided the obs recorder
-	// is enabled. 0 disables sampling entirely — the per-request cost of
-	// the disabled path is one atomic load.
+	// the per-stage breakdown in the payload; a coalesced run of
+	// pipelined point requests records as one, under its first opcode),
+	// provided the obs recorder is enabled. 0 disables sampling entirely
+	// — the per-request cost of the disabled path is one atomic load.
 	SlowOp time.Duration
 	// Logf, if set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
@@ -208,8 +212,8 @@ type conn struct {
 	nc      net.Conn
 	metrics *connMetrics
 	batch   []int64       // SCAN chunk scratch, reused across scans
-	bops    []bst.BatchOp // MBATCH op scratch
-	bres    []bool        // MBATCH result scratch
+	bops    []bst.BatchOp // MBATCH and coalesced-run op scratch
+	bres    []bool        // MBATCH and coalesced-run result scratch
 	load    []int64       // MLOAD key staging, one logical run at a time
 }
 
@@ -219,7 +223,23 @@ type conn struct {
 // handshake waits for stragglers.
 const drainGrace = 100 * time.Millisecond
 
+// maxRun caps the point requests one coalesced run applies together.
+// It only bounds the reply burst a run holds back; any pipeline a client
+// keeps within reason fits in one run.
+const maxRun = 128
+
 // serveConn runs the connection's read–handle–write loop.
+//
+// Requests a client has pipelined are all outstanding at once, so they
+// are concurrent, and any order among them is a valid linearization. The
+// loop exploits that: when it decodes an INSERT/DELETE/CONTAINS with a
+// storable key while the next frame is already whole in the read buffer,
+// it keeps decoding point requests (up to maxRun) for as long as frames
+// stay buffered, and applies the run through one store batch
+// (serveRun). Any other request ends the run and is served after the
+// run's replies, through dispatch, so replies keep request order. A
+// request that arrives alone never forms a run, so depth-1 traffic takes
+// the single-op path.
 func (s *Server) serveConn(c *conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -246,21 +266,75 @@ func (s *Server) serveConn(c *conn) {
 		// bytes were already buffered (otherwise the "decode" would be
 		// idle time waiting for the client's next request).
 		sample := s.slowNs > 0 && obs.Enabled()
-		var decNs int64
+		var td time.Time
 		if sample && dec.Buffered() > 0 {
-			td := time.Now()
-			req, err := dec.Request()
-			decNs = time.Since(td).Nanoseconds()
-			if !s.dispatch(c, dec, enc, req, err, &progress, decNs, true) {
-				return
-			}
-			continue
+			td = time.Now()
 		}
 		req, err := dec.Request()
-		if !s.dispatch(c, dec, enc, req, err, &progress, 0, sample) {
+		if err == nil && runnable(req) && dec.FrameBuffered() {
+			ops := append(c.bops[:0], bst.BatchOp{Kind: batchKind(req.Op), Key: req.A})
+			for len(ops) < maxRun && dec.FrameBuffered() {
+				if req, err = dec.Request(); err != nil || !runnable(req) {
+					break
+				}
+				ops = append(ops, bst.BatchOp{Kind: batchKind(req.Op), Key: req.A})
+			}
+			c.bops = ops
+			if !s.serveRun(c, dec, enc, ops, sinceNs(td), sample) {
+				return
+			}
+			progress = true
+			if err == nil && runnable(req) {
+				continue // the run ended on a point request it included
+			}
+			td = time.Time{} // the terminator's decode was the run's
+		}
+		if !s.dispatch(c, dec, enc, req, err, &progress, sinceNs(td), sample) {
 			return
 		}
 	}
+}
+
+// runnable reports whether req may join a coalesced run: a point op on a
+// storable key. Out-of-range keys are answered with Err by dispatch.
+func runnable(req wire.Request) bool {
+	switch req.Op {
+	case wire.OpInsert, wire.OpDelete, wire.OpContains:
+		return validKey(req.A)
+	}
+	return false
+}
+
+// sinceNs is the time elapsed since t in ns, or 0 for the zero time.
+func sinceNs(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return time.Since(t).Nanoseconds()
+}
+
+// serveRun applies one coalesced run of point ops as a single store
+// batch and encodes one Bool per op, in request order. The replies are
+// encoded only after the batch returns: for a durable store that is
+// after the run's one WAL frame is synced, so no reply of the run can
+// leave before its effects are acknowledged by the store. Slow-op
+// sampling (when sample is set) records the run as one request. It
+// reports whether the connection should keep serving.
+func (s *Server) serveRun(c *conn, dec *wire.Decoder, enc *wire.Encoder, ops []bst.BatchOp, decNs int64, sample bool) bool {
+	t0 := time.Now()
+	res := c.results(len(ops))
+	s.applyBatch(ops, res)
+	for _, v := range res {
+		enc.Bool(v) //nolint:errcheck // sticky; surfaces at flush
+	}
+	apply := time.Since(t0)
+	for _, op := range ops {
+		c.metrics.record(wireOp(op.Kind), apply)
+	}
+	if !sample {
+		return true
+	}
+	return s.sampleSlow(dec, enc, wireOp(ops[0].Kind), decNs, apply.Nanoseconds())
 }
 
 // dispatch finishes one loop iteration of serveConn: request-read error
@@ -308,21 +382,29 @@ func (s *Server) dispatch(c *conn, dec *wire.Decoder, enc *wire.Encoder, req wir
 	s.handle(c, enc, req)
 	apply := time.Since(t0)
 	c.metrics.record(req.Op, apply)
-	if sample {
-		// Flush now if this request drained the pipeline (the loop's
-		// top-of-iteration flush becomes a no-op), so the reply's write
-		// cost lands on the request that triggered it.
-		var flushNs int64
-		if dec.Buffered() == 0 {
-			tf := time.Now()
-			if err := enc.Flush(); err != nil {
-				return false
-			}
-			flushNs = time.Since(tf).Nanoseconds()
+	if !sample {
+		return true
+	}
+	return s.sampleSlow(dec, enc, req.Op, decNs, apply.Nanoseconds())
+}
+
+// sampleSlow flight-records one served request (or coalesced run, under
+// its first op) whose decode+apply+flush time reaches Config.SlowOp,
+// with the per-stage breakdown in the payload. It flushes now if the
+// request drained the pipeline (the loop's top-of-iteration flush
+// becomes a no-op), so the reply's write cost lands on the request that
+// triggered it. It reports whether the connection should keep serving.
+func (s *Server) sampleSlow(dec *wire.Decoder, enc *wire.Encoder, op wire.Op, decNs, applyNs int64) bool {
+	var flushNs int64
+	if dec.Buffered() == 0 {
+		tf := time.Now()
+		if err := enc.Flush(); err != nil {
+			return false
 		}
-		if total := decNs + apply.Nanoseconds() + flushNs; total >= s.slowNs {
-			obs.Emit(obs.EventSlowOp, uint8(req.Op), -1, s.phase(), decNs, apply.Nanoseconds(), flushNs)
-		}
+		flushNs = time.Since(tf).Nanoseconds()
+	}
+	if decNs+applyNs+flushNs >= s.slowNs {
+		obs.Emit(obs.EventSlowOp, uint8(op), -1, s.phase(), decNs, applyNs, flushNs)
 	}
 	return true
 }

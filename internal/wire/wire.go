@@ -466,6 +466,27 @@ func NewDecoder(r io.Reader) *Decoder {
 // pending, which gates output flushes.
 func (d *Decoder) Buffered() int { return d.r.Buffered() }
 
+// FrameBuffered reports whether the next frame is already whole in the
+// read buffer (counting any partial frame a previous call staged), so
+// that decoding it cannot block on the underlying reader. A header that
+// declares an invalid length counts as whole: decoding it fails at once.
+func (d *Decoder) FrameBuffered() bool {
+	n := d.r.Buffered()
+	if d.payLen > 0 {
+		return n >= d.payLen-d.payN
+	}
+	need := 4 - d.hdrN
+	if n < need {
+		return false
+	}
+	var hdr [4]byte
+	copy(hdr[:], d.hdr[:d.hdrN])
+	rest, _ := d.r.Peek(need) // cannot fail: need <= Buffered
+	copy(hdr[d.hdrN:], rest)
+	pl := binary.BigEndian.Uint32(hdr[:])
+	return pl == 0 || pl > MaxFrame || n-need >= int(pl)
+}
+
 // frame reads one length-prefixed payload into the reusable buffer.
 // The length is validated BEFORE any allocation, so a hostile 4GB
 // declared length costs nothing; actual allocation is ≤ MaxFrame, once,

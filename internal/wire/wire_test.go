@@ -370,3 +370,72 @@ func TestClientPipelining(t *testing.T) {
 		}
 	}
 }
+
+// stepReader serves its chunks one Read at a time; a nil chunk reads as
+// a transient error, the way a read deadline interrupts a socket.
+type stepReader struct{ chunks [][]byte }
+
+var errAgain = errors.New("try again")
+
+func (r *stepReader) Read(p []byte) (int, error) {
+	if len(r.chunks) == 0 {
+		return 0, io.EOF
+	}
+	c := r.chunks[0]
+	r.chunks = r.chunks[1:]
+	if c == nil {
+		return 0, errAgain
+	}
+	return copy(p, c), nil
+}
+
+// TestFrameBuffered: FrameBuffered is true exactly when the next frame
+// is whole in the read buffer, including across a header or payload that
+// a transient read error left staged.
+func TestFrameBuffered(t *testing.T) {
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	enc.Request(Request{Op: OpInsert, A: 7})
+	enc.Request(Request{Op: OpScan, A: 1, B: 2})
+	enc.Flush()
+	ins, scan := buf.Bytes()[:13], buf.Bytes()[13:]
+	r := &stepReader{chunks: [][]byte{append(append([]byte{}, ins...), scan[:2]...), nil, scan[2:7], nil, scan[7:]}}
+	dec := NewDecoder(r)
+	step := func(name string, want bool) {
+		t.Helper()
+		if got := dec.FrameBuffered(); got != want {
+			t.Fatalf("%s: FrameBuffered = %v, want %v", name, got, want)
+		}
+	}
+	step("empty buffer", false)
+	if req, err := dec.Request(); err != nil || req.Op != OpInsert {
+		t.Fatalf("first frame = %+v, %v", req, err)
+	}
+	step("2 header bytes buffered", false)
+	if _, err := dec.Request(); !errors.Is(err, errAgain) {
+		t.Fatalf("staging the header: %v", err)
+	}
+	step("header half staged, nothing buffered", false)
+	dec.r.Peek(5) //nolint:errcheck // fill the buffer without decoding
+	step("header whole, 3 of 17 payload bytes", false)
+	if _, err := dec.Request(); !errors.Is(err, errAgain) {
+		t.Fatalf("staging the payload: %v", err)
+	}
+	step("payload partly staged, nothing buffered", false)
+	dec.r.Peek(14) //nolint:errcheck
+	step("rest of payload buffered", true)
+	if req, err := dec.Request(); err != nil || req.Op != OpScan || req.B != 2 {
+		t.Fatalf("resumed frame = %+v, %v", req, err)
+	}
+	step("end of stream", false)
+
+	// A header declaring an invalid length fails at once: it counts as whole.
+	bad := NewDecoder(bytes.NewReader([]byte{0, 0, 0, 0}))
+	bad.r.Peek(4) //nolint:errcheck
+	if !bad.FrameBuffered() {
+		t.Fatal("zero-length header: FrameBuffered = false")
+	}
+	if _, err := bad.Request(); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("zero-length header decoded: %v", err)
+	}
+}
